@@ -151,17 +151,36 @@ void BM_SubscribeEvent(benchmark::State& state) {
 }
 BENCHMARK(BM_SubscribeEvent);
 
-void BM_DijkstraRecompute(benchmark::State& state) {
+// One destination-rooted shortest-path tree: invalidate the cache, then
+// query toward a destination whose tree is not built yet.
+void BM_RoutingTreeBuild(benchmark::State& state) {
   sim::Rng rng(3);
   auto g = workload::make_transit_stub(
       static_cast<std::uint32_t>(state.range(0)), 3, 2, rng);
   net::UnicastRouting routing(g.topology);
+  const auto n = static_cast<net::NodeId>(g.topology.node_count());
+  net::NodeId dest = 0;
   for (auto _ : state) {
     routing.recompute();
-    benchmark::DoNotOptimize(routing.version());
+    benchmark::DoNotOptimize(routing.rpf_neighbor(g.source_host, dest));
+    dest = (dest + 1) % n;
   }
 }
-BENCHMARK(BM_DijkstraRecompute)->Arg(4)->Arg(16);
+BENCHMARK(BM_RoutingTreeBuild)->Arg(4)->Arg(16);
+
+// The per-hop RPF read once the tree toward the source is cached.
+void BM_RoutingCachedQuery(benchmark::State& state) {
+  sim::Rng rng(3);
+  auto g = workload::make_transit_stub(16, 3, 2, rng);
+  net::UnicastRouting routing(g.topology);
+  const auto n = static_cast<net::NodeId>(g.topology.node_count());
+  net::NodeId from = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(routing.rpf_neighbor(from, g.source_host));
+    from = (from + 1) % n;
+  }
+}
+BENCHMARK(BM_RoutingCachedQuery);
 
 void BM_ErrorCurveEvaluate(benchmark::State& state) {
   counting::ErrorCurve curve(counting::CurveParams{0.3, 120, 4});

@@ -1,49 +1,63 @@
 #include "net/routing.hpp"
 
+#include <functional>
 #include <queue>
-#include <tuple>
+#include <utility>
 
 namespace express::net {
 
 void UnicastRouting::recompute() {
-  const std::size_t n = topo_->node_count();
-  tables_.assign(n, std::vector<Entry>(n));
-  for (NodeId origin = 0; origin < n; ++origin) dijkstra(origin);
+  trees_.assign(topo_->node_count(), Tree{});
   ++version_;
 }
 
-void UnicastRouting::dijkstra(NodeId origin) {
-  auto& table = tables_[origin];
-  table[origin] = Entry{0, origin, 0, 0};
+std::size_t UnicastRouting::cached_trees() const {
+  std::size_t n = 0;
+  for (const Tree& t : trees_) n += t.empty() ? 0 : 1;
+  return n;
+}
 
-  // (cost, tie-break node id) — deterministic shortest-path trees so that
-  // repeated runs build identical multicast trees.
-  using QItem = std::tuple<std::uint32_t, NodeId>;
+const UnicastRouting::Tree& UnicastRouting::tree(NodeId dest) const {
+  Tree& t = trees_.at(dest);
+  if (t.empty()) build(dest, t);
+  return t;
+}
+
+void UnicastRouting::build(NodeId dest, Tree& tree) const {
+  tree.assign(topo_->node_count(), Entry{});
+  tree[dest] = Entry{0, dest, 0, 0};
+
+  // Costs are symmetric, so a Dijkstra rooted at `dest` yields every
+  // node's distance *to* `dest`. Nodes pop in order of increasing
+  // distance, so when x pops, every neighbor n with
+  // cost(x,n) + d[n] == d[x] already holds its final entry.
+  using QItem = std::pair<std::uint32_t, NodeId>;
   std::priority_queue<QItem, std::vector<QItem>, std::greater<>> queue;
-  queue.emplace(0, origin);
+  queue.emplace(0, dest);
 
-  std::vector<bool> done(topo_->node_count(), false);
   while (!queue.empty()) {
-    auto [dist, u] = queue.top();
+    const auto [dist, x] = queue.top();
     queue.pop();
-    if (done[u]) continue;
-    done[u] = true;
-    for (LinkId lid : topo_->node(u).interfaces) {
+    Entry& ex = tree[x];
+    if (dist != ex.cost) continue;  // stale: x was reached cheaper
+    for (LinkId lid : topo_->node(x).interfaces) {
       const LinkInfo& l = topo_->link(lid);
       if (!l.up) continue;
-      const NodeId v = topo_->peer(lid, u);
+      const NodeId n = topo_->peer(lid, x);
+      Entry& en = tree[n];
+      // Next hop: the numerically smallest neighbor on a shortest path
+      // (DESIGN.md §2.1). Costs are positive, so only finished nodes
+      // satisfy d[n] < d[x].
+      if (x != dest && en.cost < dist && dist - en.cost == l.cost &&
+          n < ex.next_hop) {
+        ex.next_hop = n;
+        ex.hops = en.hops + 1;
+        ex.delay_ns = en.delay_ns + l.delay.count();
+      }
       const std::uint32_t nd = dist + l.cost;
-      Entry& ev = table[v];
-      const NodeId via = (u == origin) ? v : table[u].first_hop;
-      // Strictly-better cost wins; equal cost prefers the numerically
-      // smaller first hop so ties break deterministically.
-      if (nd < ev.cost ||
-          (nd == ev.cost && via < ev.first_hop)) {
-        ev.cost = nd;
-        ev.first_hop = via;
-        ev.hops = table[u].hops + 1;
-        ev.delay_ns = table[u].delay_ns + l.delay.count();
-        queue.emplace(nd, v);
+      if (nd < en.cost) {
+        en.cost = nd;
+        queue.emplace(nd, n);
       }
     }
   }
@@ -51,46 +65,41 @@ void UnicastRouting::dijkstra(NodeId origin) {
 
 std::optional<NodeId> UnicastRouting::next_hop(NodeId from, NodeId to) const {
   if (from == to) return std::nullopt;
-  const Entry& f = tables_.at(from).at(to);
+  const Entry& f = tree(to).at(from);
   if (f.cost == kUnreachable) return std::nullopt;
-  return f.first_hop;
+  return f.next_hop;
 }
 
 std::optional<std::uint32_t> UnicastRouting::cost(NodeId from, NodeId to) const {
-  const Entry& f = tables_.at(from).at(to);
+  const Entry& f = tree(to).at(from);
   if (f.cost == kUnreachable) return std::nullopt;
   return f.cost;
 }
 
 std::optional<std::uint32_t> UnicastRouting::hop_count(NodeId from,
                                                        NodeId to) const {
-  const Entry& f = tables_.at(from).at(to);
+  const Entry& f = tree(to).at(from);
   if (f.cost == kUnreachable) return std::nullopt;
   return f.hops;
 }
 
 std::optional<sim::Duration> UnicastRouting::path_delay(NodeId from,
                                                         NodeId to) const {
-  const Entry& f = tables_.at(from).at(to);
+  const Entry& f = tree(to).at(from);
   if (f.cost == kUnreachable) return std::nullopt;
   return sim::Duration{f.delay_ns};
 }
 
 std::vector<NodeId> UnicastRouting::path(NodeId from, NodeId to) const {
+  const Tree& t = tree(to);
+  const Entry& f = t.at(from);
+  if (f.cost == kUnreachable) return {};
   std::vector<NodeId> out;
-  if (from == to) return {from};
-  if (!cost(from, to)) return out;
-  out.push_back(from);
-  NodeId cur = from;
-  // Bounded by node count: each next_hop strictly reduces remaining cost.
-  for (std::size_t guard = 0; guard <= topo_->node_count(); ++guard) {
-    auto nh = next_hop(cur, to);
-    if (!nh) return {};
-    out.push_back(*nh);
-    if (*nh == to) return out;
-    cur = *nh;
-  }
-  return {};  // should be unreachable; defensive against table corruption
+  out.reserve(f.hops + 1);
+  // Each next hop strictly reduces the remaining cost, so this ends at `to`.
+  for (NodeId cur = from; cur != to; cur = t[cur].next_hop) out.push_back(cur);
+  out.push_back(to);
+  return out;
 }
 
 std::optional<std::uint32_t> UnicastRouting::rpf_interface(NodeId node,

@@ -4,12 +4,19 @@
 // toward the source with reverse-path forwarding on whatever the unicast
 // routing protocol already computed (paper §3: "the RPF routing component
 // of ECMP relies on, and scales with, existing unicast topology
-// information"). This class is that existing information — an all-pairs
-// shortest-path table recomputed on topology changes, exactly what a
-// converged link-state IGP would give each router.
+// information"). This class is that existing information: the answers a
+// converged link-state IGP would give each router, kept as one
+// shortest-path tree per *destination* (paper §3.2: trees are rooted at
+// S). A tree is built by a single Dijkstra on the first query toward its
+// destination and cached until the next topology change, so cost scales
+// with the destinations actually asked about — sources, count requesters,
+// ECMP neighbors — never with nodes². With positive symmetric link costs
+// the answers equal a per-origin all-pairs computation bit for bit; the
+// argument is in DESIGN.md §2.1.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -22,7 +29,8 @@ class UnicastRouting {
  public:
   explicit UnicastRouting(const Topology& topo) : topo_(&topo) { recompute(); }
 
-  /// Rebuild all routing tables; call after any link up/down change.
+  /// Invalidate every cached tree; call after any link up/down change.
+  /// Trees are rebuilt lazily on the next query toward their destination.
   /// Incremented `version()` lets protocol code detect staleness.
   void recompute();
 
@@ -34,10 +42,11 @@ class UnicastRouting {
   /// Total path cost, or nullopt when unreachable.
   [[nodiscard]] std::optional<std::uint32_t> cost(NodeId from, NodeId to) const;
 
-  /// Hop count of the shortest path (by cost), or nullopt when unreachable.
+  /// Hop count of path(from, to), or nullopt when unreachable.
   [[nodiscard]] std::optional<std::uint32_t> hop_count(NodeId from, NodeId to) const;
 
-  /// Propagation delay summed along the path, or nullopt when unreachable.
+  /// Propagation delay summed along path(from, to), or nullopt when
+  /// unreachable.
   [[nodiscard]] std::optional<sim::Duration> path_delay(NodeId from, NodeId to) const;
 
   /// Full node sequence from `from` to `to` inclusive; empty when
@@ -55,22 +64,32 @@ class UnicastRouting {
   [[nodiscard]] std::optional<std::uint32_t> rpf_interface(NodeId node,
                                                            NodeId source) const;
 
+  /// Number of destination trees currently cached (at most one per
+  /// destination queried since the last recompute()).
+  [[nodiscard]] std::size_t cached_trees() const;
+
  private:
   static constexpr std::uint32_t kUnreachable =
       std::numeric_limits<std::uint32_t>::max();
 
-  void dijkstra(NodeId origin);
-
-  const Topology* topo_;
-  std::uint64_t version_ = 0;
-  // tables_[origin][dest] = {cost, first_hop_from_origin, hops, delay_ns}
+  // tree[x] = {cost x→dest, next hop from x, hops and delay along the
+  // next-hop chain}.
   struct Entry {
     std::uint32_t cost = kUnreachable;
-    NodeId first_hop = kInvalidNode;
+    NodeId next_hop = kInvalidNode;
     std::uint32_t hops = 0;
     std::int64_t delay_ns = 0;
   };
-  std::vector<std::vector<Entry>> tables_;
+  using Tree = std::vector<Entry>;
+
+  /// The tree rooted at `dest`, built on first use.
+  const Tree& tree(NodeId dest) const;
+  void build(NodeId dest, Tree& tree) const;
+
+  const Topology* topo_;
+  std::uint64_t version_ = 0;
+  // trees_[dest] is empty until a query toward `dest` builds it.
+  mutable std::vector<Tree> trees_;
 };
 
 }  // namespace express::net

@@ -1,5 +1,7 @@
 #include "net/topology.hpp"
 
+#include <stdexcept>
+
 namespace express::net {
 
 NodeId Topology::add_node(NodeKind kind, std::string name,
@@ -16,6 +18,9 @@ NodeId Topology::add_node(NodeKind kind, std::string name,
 
 LinkId Topology::add_link(NodeId a, NodeId b, sim::Duration delay,
                           std::uint32_t cost, double bandwidth_bps) {
+  if (cost == 0) {
+    throw std::invalid_argument("Topology::add_link: routing cost must be > 0");
+  }
   const auto id = static_cast<LinkId>(links_.size());
   links_.push_back(LinkInfo{a, b, delay, bandwidth_bps, cost, true});
   nodes_.at(a).interfaces.push_back(id);

@@ -63,7 +63,8 @@ class Topology {
   }
 
   /// Connect two nodes; returns the link id. Each call consumes one new
-  /// interface slot on both endpoints.
+  /// interface slot on both endpoints. Throws std::invalid_argument when
+  /// `cost` is 0: routing relies on strictly positive costs.
   LinkId add_link(NodeId a, NodeId b,
                   sim::Duration delay = sim::milliseconds(1),
                   std::uint32_t cost = 1, double bandwidth_bps = 100e6);
