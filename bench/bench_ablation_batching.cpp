@@ -18,7 +18,7 @@ struct BatchRun {
 
 BatchRun run(std::optional<sim::Duration> window, std::uint32_t channels) {
   RouterConfig config;
-  config.batch_window = window;
+  config.transport.batch_window = window;
   Testbed bed(workload::make_kary_tree(2, 3, {}, 4), config);  // 32 hosts
   std::vector<ip::ChannelId> chs;
   for (std::uint32_t c = 0; c < channels; ++c) {

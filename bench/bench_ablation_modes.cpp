@@ -21,7 +21,7 @@ struct ModeRun {
 
 ModeRun run(std::uint32_t channels, bool udp_edge, sim::Duration horizon) {
   RouterConfig config;
-  config.udp_query_interval = sim::seconds(30);
+  config.transport.udp_query_interval = sim::seconds(30);
   Testbed bed(workload::make_star(4, 1), config);
   if (udp_edge) {
     // Edge routers' host-facing interface (index 1 on star arms).

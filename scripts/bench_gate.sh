@@ -81,16 +81,12 @@ print("bench_gate: comparing against committed BENCH_core.json")
 check_floor("scheduler.events_per_sec",
             base["scheduler"]["events_per_sec"],
             cur["scheduler"]["events_per_sec"])
-# Fast-path blocks appeared with the flat-FIB/timer-wheel PR; guard the
-# missing-key case so the gate still runs against older baselines.
+# The fib block appeared with the flat-FIB PR; guard the missing-key
+# case so the gate still runs against older baselines.
 if "fib" in base and "fib" in cur:
     check_floor("fib.lookups_per_sec",
                 base["fib"]["lookups_per_sec"],
                 cur["fib"]["lookups_per_sec"])
-if "timer_wheel" in base and "timer_wheel" in cur:
-    check_floor("timer_wheel.events_per_sec",
-                base["timer_wheel"]["events_per_sec"],
-                cur["timer_wheel"]["events_per_sec"])
 check_ceiling("churn.wall_s", base["churn"]["wall_s"], cur["churn"]["wall_s"])
 
 if failures:

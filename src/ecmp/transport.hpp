@@ -60,7 +60,9 @@ struct TransportPolicy {
   sim::Duration udp_query_interval = sim::seconds(60);
   std::uint32_t udp_robustness = 2;
 
-  /// §5.3 TCP segment coalescing window. Unset = a packet per message.
+  /// TCP-mode segment batching (§5.3): coalesce ECMP messages to each
+  /// neighbor for up to this window (or until a 1480-byte segment
+  /// fills) before transmitting. Unset = one packet per message.
   std::optional<sim::Duration> batch_window;
 
   /// How long a UDP-mode downstream entry lives without a refresh.

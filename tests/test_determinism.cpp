@@ -97,7 +97,7 @@ constexpr std::uint64_t kBatchedExecutedEvents = 961;
 
 RouterConfig batched_config() {
   RouterConfig config;
-  config.batch_window = sim::milliseconds(10);
+  config.transport.batch_window = sim::milliseconds(10);
   return config;
 }
 

@@ -68,7 +68,7 @@ TEST(MultiChannel, TwoSourcesBuildDisjointTrees) {
 TEST(Batching, SegmentCoalescingReducesPackets) {
   auto run = [](std::optional<sim::Duration> window) {
     RouterConfig config;
-    config.batch_window = window;
+    config.transport.batch_window = window;
     ExpressNetwork sim(make_kary_tree(2, 3, {}, 4), config);  // 32 hosts
     // Many channels churned at once: lots of simultaneous upstream
     // Counts, the §5.3 segment-packing scenario.
@@ -100,7 +100,7 @@ TEST(Batching, SegmentCoalescingReducesPackets) {
 
 TEST(Batching, DataStillFlowsWithBatchingEnabled) {
   RouterConfig config;
-  config.batch_window = sim::milliseconds(5);
+  config.transport.batch_window = sim::milliseconds(5);
   ExpressNetwork sim(make_kary_tree(2, 2), config);
   const ip::ChannelId ch = sim.source().allocate_channel();
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
@@ -283,9 +283,9 @@ TEST(Discovery, NeighborQueriesFlowAndSessionsStayAlive) {
   // §3.3: periodic neighbors CountQuery on router-router links; the
   // replies keep sessions alive in the NeighborTable.
   RouterConfig config;
-  config.neighbor_discovery = true;
-  config.neighbor_query_interval = sim::seconds(5);
-  config.neighbor_timeout = sim::seconds(16);
+  config.transport.neighbor_discovery = true;
+  config.transport.neighbor_query_interval = sim::seconds(5);
+  config.transport.neighbor_timeout = sim::seconds(16);
   ExpressNetwork sim(make_kary_tree(2, 2), config);
   const ip::ChannelId ch = sim.source().allocate_channel();
   sim.receiver(0).new_subscription(ch);

@@ -82,7 +82,7 @@ TEST(Lan, OneCopyOnTheWirePerPacket) {
 
 TEST(Lan, UdpGeneralQueryGetsAnswerFromEveryMember) {
   RouterConfig config;
-  config.udp_query_interval = sim::seconds(3);
+  config.transport.udp_query_interval = sim::seconds(3);
   LanNet lan(config);
   const ip::ChannelId ch = lan.source->allocate_channel();
   // The edge's LAN interface is its second (index 1: 0=core, 1=hub).
@@ -103,8 +103,8 @@ TEST(Lan, UdpGeneralQueryGetsAnswerFromEveryMember) {
 
 TEST(Lan, SilentLanMemberExpiresIndividually) {
   RouterConfig config;
-  config.udp_query_interval = sim::seconds(2);
-  config.udp_robustness = 2;
+  config.transport.udp_query_interval = sim::seconds(2);
+  config.transport.udp_robustness = 2;
   LanNet lan(config);
   const ip::ChannelId ch = lan.source->allocate_channel();
   lan.edge->set_interface_mode(1, ecmp::Mode::kUdp);
@@ -130,8 +130,8 @@ TEST(Lan, DeadHostLinkIsSkippedNotMisattributed) {
   // subscription, permanently cutting the member off even after the
   // wire healed (UDP refresh never re-queries a removed channel).
   RouterConfig config;
-  config.udp_query_interval = sim::seconds(5);
-  config.udp_robustness = 2;
+  config.transport.udp_query_interval = sim::seconds(5);
+  config.transport.udp_robustness = 2;
   LanNet lan(config);
   const ip::ChannelId ch = lan.source->allocate_channel();
   lan.edge->set_interface_mode(1, ecmp::Mode::kUdp);

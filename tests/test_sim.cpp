@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event scheduler and deterministic RNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -129,18 +130,6 @@ TEST(Scheduler, EmptyHandleIsSafe) {
   h.cancel();
 }
 
-TEST(Scheduler, StepExecutesExactlyOne) {
-  Scheduler s;
-  int fired = 0;
-  s.schedule_at(seconds(1), [&] { ++fired; });
-  s.schedule_at(seconds(2), [&] { ++fired; });
-  EXPECT_TRUE(s.step());
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(s.step());
-  EXPECT_EQ(fired, 2);
-  EXPECT_FALSE(s.step());
-}
-
 TEST(Scheduler, PastSchedulingIsCounted) {
   Scheduler s;
   EXPECT_EQ(s.clamped_past_events(), 0u);
@@ -257,6 +246,145 @@ TEST(Scheduler, FifoTieBreakSurvivesCancellationsInBetween) {
   for (std::size_t i = 0; i < handles.size(); i += 2) handles[i].cancel();
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 7, 9}));
+}
+
+// Independent oracle for dispatch order: every schedule call is logged
+// as (when, call index, id), every cancel marks the call it cancelled,
+// and the fired sequence must equal the non-cancelled log stable-sorted
+// by (when, call index) — time order, then schedule order.
+class MixedLoad {
+ public:
+  // Scheduled actions hold `this`.
+  MixedLoad() = default;
+  MixedLoad(const MixedLoad&) = delete;
+  MixedLoad& operator=(const MixedLoad&) = delete;
+
+  struct Fired {
+    Time at{};
+    std::uint64_t id = 0;
+    bool operator==(const Fired&) const = default;
+  };
+
+  /// Schedules event `id` after `delay`; returns its call index.
+  std::size_t schedule_after(Duration delay, std::uint64_t id) {
+    return log(s_.now() + delay, id,
+               s_.schedule_after(delay, [this, id] { fire(id); }));
+  }
+
+  std::size_t schedule_at(Time when, std::uint64_t id) {
+    return log(when, id, s_.schedule_at(when, [this, id] { fire(id); }));
+  }
+
+  /// A timer that fires after `delay`, then re-arms itself every
+  /// `period` until it has fired `times` times.
+  void hop(Duration delay, Duration period, std::uint64_t id, int times) {
+    log(s_.now() + delay, id,
+        s_.schedule_after(delay, [this, period, id, times] {
+          fire(id);
+          if (times > 1) hop(period, period, id, times - 1);
+        }));
+  }
+
+  void cancel(std::size_t call) {
+    log_[call].handle.cancel();
+    log_[call].cancelled = true;
+  }
+
+  [[nodiscard]] bool pending(std::size_t call) const {
+    return log_[call].handle.pending();
+  }
+
+  /// What should have fired by `deadline`: every non-cancelled call due
+  /// at or before it, in (when, call index) order.
+  [[nodiscard]] std::vector<Fired> expected(Time deadline) const {
+    std::vector<Entry> due;
+    for (const Entry& e : log_) {
+      if (!e.cancelled && e.when <= deadline) due.push_back(e);
+    }
+    std::stable_sort(due.begin(), due.end(), [](const Entry& a, const Entry& b) {
+      return a.when != b.when ? a.when < b.when : a.call < b.call;
+    });
+    std::vector<Fired> out;
+    for (const Entry& e : due) out.push_back({e.when, e.id});
+    return out;
+  }
+
+  Scheduler& scheduler() { return s_; }
+  [[nodiscard]] const std::vector<Fired>& fired() const { return fired_; }
+
+ private:
+  struct Entry {
+    Time when{};
+    std::size_t call = 0;
+    std::uint64_t id = 0;
+    EventHandle handle;
+    bool cancelled = false;
+  };
+
+  std::size_t log(Time when, std::uint64_t id, EventHandle handle) {
+    log_.push_back({when, log_.size(), id, handle, false});
+    return log_.size() - 1;
+  }
+
+  void fire(std::uint64_t id) { fired_.push_back({s_.now(), id}); }
+
+  Scheduler s_;
+  std::vector<Entry> log_;
+  std::vector<Fired> fired_;
+};
+
+void ExpectSameFiring(const std::vector<MixedLoad::Fired>& fired,
+                      const std::vector<MixedLoad::Fired>& expected) {
+  ASSERT_EQ(fired.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_TRUE(fired[i] == expected[i])
+        << "divergence at event " << i << ": fired id " << fired[i].id
+        << " at " << fired[i].at.count() << " ns, oracle expects id "
+        << expected[i].id << " at " << expected[i].at.count() << " ns";
+  }
+}
+
+TEST(Scheduler, MixedLoadFiresInTimeThenScheduleOrder) {
+  MixedLoad load;
+  Rng rng(99);
+  std::uint64_t id = 0;
+
+  // A spread of near (µs), mid (ms to a minute) and far (hours) delays.
+  std::vector<std::size_t> calls;
+  for (int i = 0; i < 2000; ++i) {
+    Duration d{};
+    switch (rng.below(4)) {
+      case 0: d = microseconds(rng.below(2000)); break;
+      case 1: d = milliseconds(rng.below(200)); break;
+      case 2: d = milliseconds(200 + rng.below(60000)); break;
+      default: d = seconds(60 + rng.below(10000)); break;
+    }
+    calls.push_back(load.schedule_after(d, id++));
+  }
+
+  // Equal-time burst: the FIFO tie-break among identical timestamps.
+  for (int i = 0; i < 50; ++i) load.schedule_at(Time{milliseconds(500)}, id++);
+
+  // Cancel a deterministic subset across every delay class.
+  for (std::size_t i = 0; i < calls.size(); i += 7) {
+    load.cancel(calls[i]);
+    EXPECT_FALSE(load.pending(calls[i]));
+  }
+
+  // A 37 s timer that re-arms itself from inside its own action.
+  load.hop(milliseconds(1), seconds(37), id++, 40);
+
+  // Run in deadline slices, checking the prefix fired by each, then drain.
+  Scheduler& s = load.scheduler();
+  for (const Time deadline : {Time{seconds(1)}, Time{seconds(120)}}) {
+    s.run_until(deadline);
+    EXPECT_EQ(s.now(), deadline);
+    ExpectSameFiring(load.fired(), load.expected(deadline));
+    if (HasFatalFailure()) return;
+  }
+  s.run();
+  ExpectSameFiring(load.fired(), load.expected(kNever));
+  EXPECT_EQ(s.pending_events(), 0u);
 }
 
 TEST(Scheduler, EventsScheduledDuringRunAreExecuted) {
