@@ -2,10 +2,11 @@
 # Sanitizer gate for the simulator core.
 #
 # Builds the whole tree with AddressSanitizer + UndefinedBehaviorSanitizer,
-# runs the full test suite, then a quick bench_core pass — so the slab
-# scheduler's pointer recycling, the InlineFunction placement-new
-# machinery, and the COW payload sharing are all exercised under the
-# sanitizers, not just under the unit-test assertions.
+# runs the full test suite, then a short bench_micro pass over the
+# scheduler and fan-out kernels — so the slab scheduler's pointer
+# recycling, the InlineFunction placement-new machinery, and the COW
+# payload sharing are all exercised under the sanitizers at scale, not
+# just under the unit-test assertions.
 #
 # Usage: scripts/check.sh [build-dir]      (default: build-asan)
 set -euo pipefail
@@ -43,11 +44,12 @@ cmake --build "$build_dir" -j "$(nproc)"
 echo "== tests (ctest) =="
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 
-echo "== bench_core --quick (sanitized) =="
+echo "== bench_micro scheduler + fan-out kernels (sanitized) =="
 # Throughput numbers are meaningless under ASan; this run is purely a
-# memory-correctness sweep of the slab/COW hot paths at scale. Write the
-# JSON somewhere disposable so the committed BENCH_core.json (produced
-# by a normal optimized build) is not clobbered with sanitized numbers.
-"$build_dir/bench/bench_core" --quick --out "$build_dir/BENCH_core.quick.json"
+# memory-correctness sweep of the slab/COW hot paths at scale: thousands
+# of schedule/cancel/drain rounds and 2000 packets across a 256-way star
+# with fan-out batching on and off.
+"$build_dir/bench/bench_micro" --benchmark_filter='Scheduler|Fanout' \
+  --benchmark_min_time=0.05
 
 echo "== check.sh: all green =="

@@ -388,8 +388,11 @@ void ExpressRouter::on_remote_query(const net::Packet& inner) {
                   // by the first intermediate router.
                   transport_.send_remote(
                       requester, ecmp::Message{ecmp::Count{
-                                     query.channel, query.count_id,
-                                     result.count, query.query_seq}});
+                                     .channel = query.channel,
+                                     .count_id = query.count_id,
+                                     .count = result.count,
+                                     .query_seq = query.query_seq,
+                                     .key = std::nullopt}});
                 });
   }
 }

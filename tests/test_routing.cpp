@@ -352,9 +352,9 @@ TEST(Routing, AnswersDoNotDependOnQueryOrder) {
   EXPECT_EQ(a, b);
 }
 
-// Scale guard: on bench_core's depth-5 4-ary tree (~11.6k nodes) building
-// the network and flapping a core link must cost one tree per destination
-// actually queried. An all-pairs table here takes tens of seconds and GBs,
+// Scale guard: on a depth-5 4-ary tree with 10 hosts per leaf (~11.6k
+// nodes) building the network and flapping a core link must cost one tree
+// per destination actually queried. An all-pairs table here takes tens of seconds and GBs,
 // which the ctest timeout on this binary turns into a failure.
 TEST(Routing, FlapOnLargeTreeBuildsOnlyQueriedTrees) {
   auto g = workload::make_kary_tree(4, 5, {}, 10);
