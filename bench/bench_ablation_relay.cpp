@@ -7,6 +7,8 @@
 // speakers relay through one SR channel (1 tree + unicast legs: ~half
 // the state at k=2, growing savings with k, but relay delay).
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common.hpp"
 #include "testbed/testbed.hpp"
@@ -34,6 +36,16 @@ Option per_source_channels(std::size_t speakers) {
   }
   bed.run_for(sim::seconds(1));
 
+  // Arrivals per host since the last speaker's turn.
+  std::vector<std::vector<std::pair<ip::ChannelId, sim::Time>>> arrivals(
+      bed.receiver_count());
+  for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
+    bed.receiver(i).set_data_handler(
+        [&arrivals, i](const net::Packet& packet, sim::Time at) {
+          arrivals[i].emplace_back(ip::ChannelId{packet.src, packet.dst}, at);
+        });
+  }
+
   Option out;
   double delay_sum = 0;
   std::uint64_t deliveries = 0;
@@ -42,13 +54,13 @@ Option per_source_channels(std::size_t speakers) {
     bed.receiver(s).send(channels[s], 500, s);
     bed.run_for(sim::seconds(1));
     for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
-      if (i == s) continue;
-      for (const auto& d : bed.receiver(i).deliveries()) {
-        if (d.channel == channels[s]) {
-          delay_sum += sim::to_seconds(d.at - sent) * 1e3;
+      for (const auto& [channel, at] : arrivals[i]) {
+        if (i != s && channel == channels[s]) {
+          delay_sum += sim::to_seconds(at - sent) * 1e3;
           ++deliveries;
         }
       }
+      arrivals[i].clear();
     }
   }
   out.fib_entries = bed.total_fib_entries();

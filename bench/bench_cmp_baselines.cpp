@@ -8,6 +8,8 @@
 // triangles, broadcast-and-prune waste, EXPRESS's subscription-only
 // trees).
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "baseline/cbt.hpp"
 #include "baseline/dvmrp.hpp"
@@ -53,6 +55,15 @@ double stretch_of(sim::Duration delivery, sim::Duration direct) {
   return sim::to_seconds(delivery) / sim::to_seconds(direct);
 }
 
+/// Per receiver: (sequence, arrival time) of each delivered packet.
+using Arrivals = std::vector<std::vector<std::pair<std::uint64_t, sim::Time>>>;
+
+auto record_into(std::vector<std::pair<std::uint64_t, sim::Time>>& out) {
+  return [&out](const net::Packet& packet, sim::Time at) {
+    out.emplace_back(packet.sequence, at);
+  };
+}
+
 Result run_express() {
   Testbed bed(make_topology());
   ExpressHost& src = bed.receiver(kSourceHost);
@@ -61,6 +72,10 @@ Result run_express() {
     bed.receiver(i).new_subscription(ch);
   }
   bed.run_for(sim::seconds(1));
+  Arrivals arrivals(bed.receiver_count());
+  for (std::size_t i = kFirstMember; i < kMembersEnd; ++i) {
+    bed.receiver(i).set_data_handler(record_into(arrivals[i]));
+  }
   const std::uint64_t bytes_before = bed.net().total_link_bytes();
   std::vector<sim::Time> sent_at;
   for (int p = 0; p < kPackets; ++p) {
@@ -86,10 +101,10 @@ Result run_express() {
             .path_delay(bed.roles().receiver_hosts[kSourceHost],
                         bed.roles().receiver_hosts[i])
             .value();
-    for (const auto& d : bed.receiver(i).deliveries()) {
+    for (const auto& [sequence, at] : arrivals[i]) {
       ++delivered;
-      const double s = stretch_of(d.at - sent_at.at(d.sequence), direct);
-      if (d.sequence == 0) { first_sum += s; ++first; }
+      const double s = stretch_of(at - sent_at.at(sequence), direct);
+      if (sequence == 0) { first_sum += s; ++first; }
       else { steady_sum += s; ++steady; }
     }
   }
@@ -123,6 +138,10 @@ Result run_baseline(const std::string& name, ip::Protocol control,
     receivers[i]->join_group(kGroup, control);
   }
   network->run_until(sim::seconds(1));
+  Arrivals arrivals(receivers.size());
+  for (std::size_t i = kFirstMember; i < kMembersEnd; ++i) {
+    receivers[i]->set_data_handler(record_into(arrivals[i]));
+  }
   const std::uint64_t bytes_before = network->total_link_bytes();
   std::vector<sim::Time> sent_at;
   for (int p = 0; p < kPackets; ++p) {
@@ -148,11 +167,11 @@ Result run_baseline(const std::string& name, ip::Protocol control,
             .path_delay(roles.receiver_hosts[kSourceHost],
                         roles.receiver_hosts[i])
             .value();
-    for (const auto& d : receivers[i]->deliveries()) {
+    for (const auto& [sequence, at] : arrivals[i]) {
       ++delivered;
-      if (d.sequence >= sent_at.size()) continue;
-      const double s = stretch_of(d.at - sent_at[d.sequence], direct);
-      if (d.sequence == 0) { first_sum += s; ++first; }
+      if (sequence >= sent_at.size()) continue;
+      const double s = stretch_of(at - sent_at[sequence], direct);
+      if (sequence == 0) { first_sum += s; ++first; }
       else { steady_sum += s; ++steady; }
     }
   }

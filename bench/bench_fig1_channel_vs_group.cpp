@@ -36,6 +36,13 @@ GroupRun run_group_model() {
   auto& attacker =
       network->attach<baseline::GroupHost>(roles.receiver_hosts[2]);
 
+  GroupRun out;
+  member.set_data_handler([&](const net::Packet& packet, sim::Time) {
+    if (packet.src == s1.address()) ++out.from_s1;
+    if (packet.src == s2.address()) ++out.from_s2;
+    if (packet.src == attacker.address()) ++out.from_attacker;
+  });
+
   const ip::Address group(225, 0, 0, 1);
   member.join_group(group);
   network->run_until(sim::seconds(1));
@@ -43,13 +50,6 @@ GroupRun run_group_model() {
   for (int i = 0; i < 10; ++i) s2.send_to_group(group, 100, 2);
   for (int i = 0; i < 10; ++i) attacker.send_to_group(group, 100, 3);
   network->run_until(sim::seconds(2));
-
-  GroupRun out;
-  for (const auto& d : member.deliveries()) {
-    if (d.source == s1.address()) ++out.from_s1;
-    if (d.source == s2.address()) ++out.from_s2;
-    if (d.source == attacker.address()) ++out.from_attacker;
-  }
   return out;
 }
 
@@ -64,6 +64,12 @@ GroupRun run_channel_model() {
   const ip::Address e = ip::Address::single_source(7);
   const ip::ChannelId ch1{s1.address(), e};
   const ip::ChannelId ch2{s2.address(), e};
+  GroupRun out;
+  member.set_data_handler([&](const net::Packet& packet, sim::Time) {
+    if (packet.src == s1.address()) ++out.from_s1;
+    if (packet.src == s2.address()) ++out.from_s2;
+    if (packet.src == attacker.address()) ++out.from_attacker;
+  });
   member.new_subscription(ch1);
   bed.run_for(sim::seconds(1));
   for (int i = 0; i < 10; ++i) s1.send(ch1, 100, 1);
@@ -72,13 +78,6 @@ GroupRun run_channel_model() {
     attacker.send(ip::ChannelId{attacker.address(), e}, 100, 3);
   }
   bed.run_for(sim::seconds(1));
-
-  GroupRun out;
-  for (const auto& d : member.deliveries()) {
-    if (d.channel.source == s1.address()) ++out.from_s1;
-    if (d.channel.source == s2.address()) ++out.from_s2;
-    if (d.channel.source == attacker.address()) ++out.from_attacker;
-  }
   return out;
 }
 

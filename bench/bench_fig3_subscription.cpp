@@ -5,6 +5,8 @@
 // distribution tree. We subscribe hosts one at a time on a binary tree
 // and report how far each join travelled and how long the subscription
 // took to become live (join latency to first delivered packet).
+#include <vector>
+
 #include "common.hpp"
 #include "testbed/testbed.hpp"
 
@@ -29,6 +31,13 @@ int main() {
   // Subscribe in an order that exercises splicing: receiver 0, its
   // sibling 1, a cousin 2, then the far side of the tree.
   const std::size_t order[] = {0, 1, 2, 8, 9, 15};
+  std::vector<sim::Time> last_arrival(bed.receiver_count());
+  for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
+    bed.receiver(i).set_data_handler(
+        [&last_arrival, i](const net::Packet&, sim::Time at) {
+          last_arrival[i] = at;
+        });
+  }
   std::size_t join_number = 0;
   for (std::size_t idx : order) {
     ++join_number;
@@ -43,18 +52,15 @@ int main() {
     }
 
     // Join latency: time until a packet sent now reaches this receiver.
-    const std::size_t delivered_before =
-        bed.receiver(idx).deliveries().size();
+    const std::uint64_t delivered_before =
+        bed.receiver(idx).stats().data_received;
     const sim::Time sent = bed.net().now();
     bed.source().send(ch, 100, idx);
     bed.run_for(sim::seconds(1));
     const bool delivered =
-        bed.receiver(idx).deliveries().size() > delivered_before;
+        bed.receiver(idx).stats().data_received > delivered_before;
     const double latency_ms =
-        delivered
-            ? sim::to_seconds(bed.receiver(idx).deliveries().back().at - sent) *
-                  1e3
-            : -1;
+        delivered ? sim::to_seconds(last_arrival[idx] - sent) * 1e3 : -1;
     table.row({fmt_int(join_number), "recv" + std::to_string(idx),
                fmt_int(hops), fmt_int(on_tree), fmt(latency_ms, 1)});
   }

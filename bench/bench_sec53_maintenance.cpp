@@ -61,7 +61,8 @@ int main() {
   const net::NodeId core = topo.add_router("core");
   std::vector<net::NodeId> neighbors;
   for (int i = 0; i < 8; ++i) {
-    neighbors.push_back(topo.add_router("n" + std::to_string(i)));
+    neighbors.push_back(
+        topo.add_router(std::string("n").append(std::to_string(i))));
     topo.add_link(core, neighbors.back());
   }
   const net::NodeId upstream = topo.add_router("up");

@@ -112,7 +112,7 @@ int main() {
     if (received[i].size() == kBlocks) ++complete;
     if (i < 12) {
       duplicates_at_ontime_hosts +=
-          bed.receiver(i).deliveries().size() - kBlocks;
+          bed.receiver(i).stats().data_received - kBlocks;
     }
   }
   std::printf("hosts with the complete file: %zu / %zu\n", complete,

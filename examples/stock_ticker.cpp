@@ -68,7 +68,7 @@ int main() {
 
   std::uint64_t quotes_delivered = 0;
   for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
-    quotes_delivered += bed.receiver(i).deliveries().size();
+    quotes_delivered += bed.receiver(i).stats().data_received;
   }
 
   // --- the bill ----------------------------------------------------------

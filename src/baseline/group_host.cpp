@@ -86,8 +86,7 @@ void GroupHost::handle_packet(const net::Packet& packet,
     return;
   }
   stats_.data_received.inc();
-  deliveries_.push_back(Delivery{packet.dst, packet.src, packet.sequence,
-                                 packet.data_bytes, network().now()});
+  if (data_handler_) data_handler_(packet, network().now());
 }
 
 }  // namespace express::baseline

@@ -56,16 +56,13 @@ class GroupHost : public net::Node {
   void send_to_group(ip::Address group, std::uint32_t bytes,
                      std::uint64_t sequence = 0);
 
-  struct Delivery {
-    ip::Address group;
-    ip::Address source;
-    std::uint64_t sequence = 0;
-    std::uint32_t bytes = 0;
-    sim::Time at{};
-  };
-  [[nodiscard]] const std::vector<Delivery>& deliveries() const {
-    return deliveries_;
+  /// Invoked for every data packet delivered to the application.
+  using DataHandler =
+      std::function<void(const net::Packet& packet, sim::Time at)>;
+  void set_data_handler(DataHandler handler) {
+    data_handler_ = std::move(handler);
   }
+
   /// Thin view over the registry slots (see DESIGN.md §11).
   [[nodiscard]] GroupHostStats stats() const {
     GroupHostStats s;
@@ -93,7 +90,7 @@ class GroupHost : public net::Node {
     obs::Counter data_sent;
   };
 
-  std::vector<Delivery> deliveries_;
+  DataHandler data_handler_;
   obs::Scope scope_;
   GroupHostCounters stats_;
 };

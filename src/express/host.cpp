@@ -259,8 +259,6 @@ void ExpressHost::handle_packet(const net::Packet& packet,
       return;
     }
     stats_.data_received.inc();
-    deliveries_.push_back(Delivery{channel, packet.sequence, packet.data_bytes,
-                                   network().now()});
     if (data_handler_) data_handler_(packet, network().now());
   }
 }

@@ -131,16 +131,6 @@ class ExpressHost : public net::Node {
     unicast_handler_ = std::move(handler);
   }
 
-  struct Delivery {
-    ip::ChannelId channel;
-    std::uint64_t sequence = 0;
-    std::uint32_t bytes = 0;
-    sim::Time at{};
-  };
-  [[nodiscard]] const std::vector<Delivery>& deliveries() const {
-    return deliveries_;
-  }
-
   /// Thin view over the registry slots (see DESIGN.md §11).
   [[nodiscard]] HostStats stats() const {
     HostStats s;
@@ -198,7 +188,6 @@ class ExpressHost : public net::Node {
       count_handlers_;
   DataHandler data_handler_;
   DataHandler unicast_handler_;
-  std::vector<Delivery> deliveries_;
   obs::Scope scope_;
   HostCounters stats_;
   bool silent_ = false;

@@ -26,7 +26,13 @@ struct ChannelId {
   }
 
   [[nodiscard]] std::string to_string() const {
-    return "(" + source.to_string() + ", " + dest.to_string() + ")";
+    // append, not `"(" + std::string`: GCC 12 -O3 misreports that as
+    // -Wrestrict wherever this is inlined.
+    return std::string("(")
+        .append(source.to_string())
+        .append(", ")
+        .append(dest.to_string())
+        .append(")");
   }
 
   /// Bijective 64-bit packing | source 32b | dest 32b | — the FIB probe

@@ -9,7 +9,9 @@ NodeId Topology::add_node(NodeKind kind, std::string name,
   const auto id = static_cast<NodeId>(nodes_.size());
   NodeInfo info;
   info.kind = kind;
-  info.name = name.empty() ? ("n" + std::to_string(id)) : std::move(name);
+  // append, not `"n" + std::string` (GCC 12 -O3 -Wrestrict false positive).
+  info.name = name.empty() ? std::string("n").append(std::to_string(id))
+                           : std::move(name);
   info.address = address.value_or(
       ip::Address{static_cast<std::uint32_t>(0x0A000001U + id)});
   nodes_.push_back(std::move(info));

@@ -6,10 +6,18 @@ namespace express::workload {
 
 namespace {
 
+// Node names such as "r3" and "s1_2". Built by append: GCC 12 at -O3
+// misreports `"lit" + std::string` as -Wrestrict.
+std::string node_name(const char* prefix, std::size_t a) {
+  return std::string(prefix).append(std::to_string(a));
+}
+std::string node_name(const char* prefix, std::size_t a, std::size_t b) {
+  return node_name(prefix, a).append("_").append(std::to_string(b));
+}
+
 net::NodeId add_receiver(GeneratedTopology& g, net::NodeId router,
                          const LinkParams& links, std::size_t index) {
-  const net::NodeId host =
-      g.topology.add_host("recv" + std::to_string(index));
+  const net::NodeId host = g.topology.add_host(node_name("recv", index));
   g.topology.add_link(router, host, links.edge_delay, 1,
                       links.edge_bandwidth_bps);
   g.receiver_hosts.push_back(host);
@@ -30,8 +38,7 @@ GeneratedTopology make_star(std::uint32_t receivers, std::uint32_t hops,
   for (std::uint32_t r = 0; r < receivers; ++r) {
     net::NodeId prev = g.source_router;
     for (std::uint32_t h = 0; h < hops; ++h) {
-      const net::NodeId router = g.topology.add_router(
-          "r" + std::to_string(r) + "_" + std::to_string(h));
+      const net::NodeId router = g.topology.add_router(node_name("r", r, h));
       g.topology.add_link(prev, router, links.core_delay, 1,
                           links.core_bandwidth_bps);
       g.routers.push_back(router);
@@ -58,8 +65,8 @@ GeneratedTopology make_kary_tree(std::uint32_t arity, std::uint32_t depth,
     next.reserve(level.size() * arity);
     for (net::NodeId parent : level) {
       for (std::uint32_t a = 0; a < arity; ++a) {
-        const net::NodeId child = g.topology.add_router(
-            "d" + std::to_string(d) + "_" + std::to_string(next.size()));
+        const net::NodeId child =
+            g.topology.add_router(node_name("d", d, next.size()));
         g.topology.add_link(parent, child, links.core_delay, 1,
                             links.core_bandwidth_bps);
         g.routers.push_back(child);
@@ -81,7 +88,7 @@ GeneratedTopology make_line(std::uint32_t routers, const LinkParams& links) {
   GeneratedTopology g;
   net::NodeId prev = net::kInvalidNode;
   for (std::uint32_t i = 0; i < routers; ++i) {
-    const net::NodeId router = g.topology.add_router("r" + std::to_string(i));
+    const net::NodeId router = g.topology.add_router(node_name("r", i));
     g.routers.push_back(router);
     if (i == 0) {
       g.source_router = router;
@@ -106,7 +113,7 @@ GeneratedTopology make_transit_stub(std::uint32_t transit,
   std::vector<net::NodeId> core;
   core.reserve(transit);
   for (std::uint32_t t = 0; t < transit; ++t) {
-    const net::NodeId router = g.topology.add_router("t" + std::to_string(t));
+    const net::NodeId router = g.topology.add_router(node_name("t", t));
     core.push_back(router);
     g.routers.push_back(router);
     if (t > 0) {
@@ -131,8 +138,7 @@ GeneratedTopology make_transit_stub(std::uint32_t transit,
   std::size_t host_index = 0;
   for (std::uint32_t t = 0; t < transit; ++t) {
     for (std::uint32_t s = 0; s < stubs_per_transit; ++s) {
-      const net::NodeId stub = g.topology.add_router(
-          "s" + std::to_string(t) + "_" + std::to_string(s));
+      const net::NodeId stub = g.topology.add_router(node_name("s", t, s));
       g.routers.push_back(stub);
       g.topology.add_link(core[t], stub, links.core_delay, 1,
                           links.core_bandwidth_bps);

@@ -40,16 +40,17 @@ std::vector<std::set<std::uint64_t>> run_scenario(Harness& h,
   for (std::size_t i = 0; i < h.receivers.size(); ++i) {
     if (member[i]) h.receivers[i]->join_group(kGroup, control);
   }
+  std::vector<std::set<std::uint64_t>> delivered(h.receivers.size());
+  for (std::size_t i = 0; i < h.receivers.size(); ++i) {
+    h.receivers[i]->set_data_handler(
+        [&delivered, i](const net::Packet& packet, sim::Time) {
+          delivered[i].insert(packet.sequence);
+        });
+  }
   h.network->run_until(sim::seconds(2));
   for (int p = 1; p <= kPackets; ++p) {
     h.source->send_to_group(kGroup, 400, static_cast<std::uint64_t>(p));
     h.network->run_until(h.network->now() + sim::seconds(1));
-  }
-  std::vector<std::set<std::uint64_t>> delivered(h.receivers.size());
-  for (std::size_t i = 0; i < h.receivers.size(); ++i) {
-    for (const auto& d : h.receivers[i]->deliveries()) {
-      delivered[i].insert(d.sequence);
-    }
   }
   return delivered;
 }

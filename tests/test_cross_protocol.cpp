@@ -33,17 +33,17 @@ DeliveryMatrix run_express() {
   const ip::ChannelId ch = sim.source().allocate_channel();
   for (std::size_t i : kMembers) sim.receiver(i).new_subscription(ch);
   sim.run_for(sim::seconds(1));
+  DeliveryMatrix delivered(kReceiverCount);
+  for (std::size_t i = 0; i < kReceiverCount; ++i) {
+    sim.receiver(i).set_data_handler(
+        [&delivered, i](const net::Packet& packet, sim::Time) {
+          delivered[i].insert(packet.sequence);
+        });
+  }
   for (std::uint64_t seq = 1; seq <= kPackets; ++seq) {
     sim.source().send(ch, 200, seq);
   }
   sim.run_for(sim::seconds(1));
-
-  DeliveryMatrix delivered(kReceiverCount);
-  for (std::size_t i = 0; i < kReceiverCount; ++i) {
-    for (const auto& d : sim.receiver(i).deliveries()) {
-      delivered[i].insert(d.sequence);
-    }
-  }
   return delivered;
 }
 
@@ -69,17 +69,17 @@ DeliveryMatrix run_pim() {
     receivers[i]->join_group(group, ip::Protocol::kPim);
   }
   network->run_until(network->now() + sim::seconds(1));
+  DeliveryMatrix delivered(kReceiverCount);
+  for (std::size_t i = 0; i < kReceiverCount; ++i) {
+    receivers[i]->set_data_handler(
+        [&delivered, i](const net::Packet& packet, sim::Time) {
+          delivered[i].insert(packet.sequence);
+        });
+  }
   for (std::uint64_t seq = 1; seq <= kPackets; ++seq) {
     source.send_to_group(group, 200, seq);
   }
   network->run_until(network->now() + sim::seconds(1));
-
-  DeliveryMatrix delivered(kReceiverCount);
-  for (std::size_t i = 0; i < kReceiverCount; ++i) {
-    for (const auto& d : receivers[i]->deliveries()) {
-      delivered[i].insert(d.sequence);
-    }
-  }
   return delivered;
 }
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <vector>
 
 #include "ecmp/codec.hpp"
 #include "helpers.hpp"
@@ -31,6 +33,13 @@ TEST_P(SeededProperty, DeliveryInvariants) {
     if (member[i]) sim.receiver(i).new_subscription(ch);
   }
   sim.run_for(sim::seconds(2));
+  std::vector<std::vector<std::uint64_t>> seqs(sim.receiver_count());
+  for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
+    sim.receiver(i).set_data_handler(
+        [&seqs, i](const net::Packet& packet, sim::Time) {
+          seqs[i].push_back(packet.sequence);
+        });
+  }
 
   const int packets = 5;
   for (int p = 1; p <= packets; ++p) {
@@ -40,13 +49,13 @@ TEST_P(SeededProperty, DeliveryInvariants) {
 
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
     const std::size_t expected = member[i] ? packets : 0u;
-    EXPECT_EQ(sim.receiver(i).deliveries().size(), expected)
+    EXPECT_EQ(sim.receiver(i).stats().data_received, expected)
         << "receiver " << i << " member=" << member[i];
     EXPECT_EQ(sim.receiver(i).stats().unwanted_data, 0u);
     // Exactly-once: sequences are unique per receiver.
-    std::set<std::uint64_t> seqs;
-    for (const auto& d : sim.receiver(i).deliveries()) {
-      EXPECT_TRUE(seqs.insert(d.sequence).second)
+    std::set<std::uint64_t> unique;
+    for (const std::uint64_t seq : seqs[i]) {
+      EXPECT_TRUE(unique.insert(seq).second)
           << "duplicate delivery at receiver " << i;
     }
   }
@@ -66,8 +75,7 @@ TEST_P(SeededProperty, DeliveryInvariants) {
   sim.source().send(ch, 500, 99);
   sim.run_for(sim::seconds(2));
   for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
-    const bool got_last = !sim.receiver(i).deliveries().empty() &&
-                          sim.receiver(i).deliveries().back().sequence == 99;
+    const bool got_last = !seqs[i].empty() && seqs[i].back() == 99;
     EXPECT_EQ(got_last, member[i]) << "receiver " << i;
   }
 
@@ -132,6 +140,13 @@ TEST_P(SeededProperty, SimulationIsDeterministic) {
       if (rng.chance(0.5)) sim.receiver(i).new_subscription(ch);
     }
     sim.run_for(sim::seconds(1));
+    std::vector<std::vector<std::uint64_t>> arrivals(sim.receiver_count());
+    for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
+      sim.receiver(i).set_data_handler(
+          [&arrivals, i](const net::Packet&, sim::Time at) {
+            arrivals[i].push_back(static_cast<std::uint64_t>(at.count()));
+          });
+    }
     for (int p = 0; p < 3; ++p) {
       sim.source().send(ch, 700, static_cast<std::uint64_t>(p));
     }
@@ -141,10 +156,8 @@ TEST_P(SeededProperty, SimulationIsDeterministic) {
     trace.push_back(sim.net().stats().bytes_sent);
     trace.push_back(sim.net().scheduler().executed_events());
     for (std::size_t i = 0; i < sim.receiver_count(); ++i) {
-      trace.push_back(sim.receiver(i).deliveries().size());
-      for (const auto& d : sim.receiver(i).deliveries()) {
-        trace.push_back(static_cast<std::uint64_t>(d.at.count()));
-      }
+      trace.push_back(sim.receiver(i).stats().data_received);
+      trace.insert(trace.end(), arrivals[i].begin(), arrivals[i].end());
     }
     return trace;
   };
