@@ -425,7 +425,12 @@ def _body_text(tree: Tree, fn) -> str:
     return ""
 
 
-REGISTRATION_RE = re.compile(r"\.\s*(counter|gauge|histogram)\s*\(\s*\"")
+#: A registry slot is created by binding a `*Stats` block
+#: (`scope_.bind<XStats>({...})`, `registry.bind<XStats>(entity, {...})`)
+#: or by registering a histogram (`.histogram("name")`).
+REGISTRATION_RE = re.compile(
+    r"\.\s*(bind)\s*(?:<[^;(]*>)?\s*\("
+    r"|\.\s*(histogram)\s*\(\s*\"")
 
 #: Function-name patterns that count as an init path for registration.
 INIT_NAME_RE = re.compile(r"^(init|setup|register_|ensure_)")
@@ -438,6 +443,7 @@ def check_registrations(tree: Tree, findings: list) -> None:
             continue  # the registry implementation itself
         fns, _classes, _enums = tree.structure[sf.path]
         for m in REGISTRATION_RE.finditer(sf.code):
+            call = m.group(1) or m.group(2)
             fn = cpp_scan.enclosing_function(fns, m.start())
             if fn is None:
                 continue  # default member initializer: ctor-path
@@ -448,16 +454,18 @@ def check_registrations(tree: Tree, findings: list) -> None:
                 continue
             findings.append(Finding(
                 "late-registration", sf.path, line, sf.col_of(m.start()),
-                f"registry slot `.{m.group(1)}(...)` created in "
+                f"registry slot `.{call}(...)` created in "
                 f"`{fn.cls + '::' if fn.cls else ''}{fn.name}`, not a "
                 "constructor/init path; snapshots diverge run-to-run "
                 "when slot creation depends on traffic — move it or "
                 "annotate `// lint: late-registration (<why>)`"))
 
 
+#: A bump of a `*drop*` counter, bare or through a member access:
+#: `++drops_`, `++stats_->dropped_ttl`, `++s.rpf_drops`,
+#: `stats_->no_entry_drops += n`, `net.stats_->drops++`.
 DROP_BUMP_RE = re.compile(
-    r"\b(\w*drop\w*)\s*\.\s*(?:inc|add)\s*\("
-    r"|\+\+\s*(\w*drop\w*)\b"
+    r"\+\+\s*(?:\w+\s*(?:\.|->)\s*)*(\w*drop\w*)\b"
     r"|\b(\w*drop\w*)\s*(?:\+\+|\+=)")
 
 DROP_TRACE_RE = re.compile(
@@ -469,7 +477,7 @@ def check_drop_traces(tree: Tree, findings: list) -> None:
     for sf in tree.files:
         fns, _classes, _enums = tree.structure[sf.path]
         for m in DROP_BUMP_RE.finditer(sf.code):
-            name = m.group(1) or m.group(2) or m.group(3)
+            name = m.group(1) or m.group(2)
             fn = cpp_scan.enclosing_function(fns, m.start())
             if fn is None:
                 continue  # declaration / initializer, not a bump site

@@ -63,16 +63,8 @@ class GroupHost : public net::Node {
     data_handler_ = std::move(handler);
   }
 
-  /// Thin view over the registry slots (see DESIGN.md §11).
-  [[nodiscard]] GroupHostStats stats() const {
-    GroupHostStats s;
-    s.data_received = stats_.data_received.value();
-    s.data_filtered = stats_.data_filtered.value();
-    s.unwanted_data = stats_.unwanted_data.value();
-    s.bytes_on_last_hop = stats_.bytes_on_last_hop.value();
-    s.data_sent = stats_.data_sent.value();
-    return s;
-  }
+  /// The registry block (see DESIGN.md §11).
+  [[nodiscard]] GroupHostStats stats() const { return *stats_; }
   [[nodiscard]] bool member_of(ip::Address group) const {
     return groups_.contains(group);
   }
@@ -80,19 +72,9 @@ class GroupHost : public net::Node {
  private:
   std::unordered_set<ip::Address> groups_;
   std::unordered_map<ip::Address, std::unordered_set<ip::Address>> filters_;
-  /// Registry-backed counter handles (GroupHostStats is assembled on
-  /// demand by stats()).
-  struct GroupHostCounters {
-    obs::Counter data_received;
-    obs::Counter data_filtered;
-    obs::Counter unwanted_data;
-    obs::Counter bytes_on_last_hop;
-    obs::Counter data_sent;
-  };
-
   DataHandler data_handler_;
   obs::Scope scope_;
-  GroupHostCounters stats_;
+  GroupHostStats* stats_ = nullptr;  ///< registry block (baseline.group_host.*)
 };
 
 }  // namespace express::baseline

@@ -33,8 +33,9 @@ ExpressRouter::ExpressRouter(net::Network& network, net::NodeId id,
                      [this]() { return udp_refresh_round(); },
                      [this](net::NodeId neighbor) { neighbor_died(neighbor); },
                  }) {
-  unresolved_neighbor_updates_ =
-      scope_.counter("express.router.unresolved_neighbor_updates");
+  events_ = &scope_.bind<RouterEventStats>(
+      {{"express.router.unresolved_neighbor_updates",
+        &RouterEventStats::unresolved_neighbor_updates}});
 }
 
 ExpressRouter::~ExpressRouter() {

@@ -57,6 +57,13 @@ struct RouterConfig {
   std::optional<counting::CurveParams> proactive;
 };
 
+/// The one counter the router itself owns (the rest live in its
+/// modules): a registry block like every other `*Stats` struct.
+struct RouterEventStats {
+  /// See RouterStats::unresolved_neighbor_updates.
+  std::uint64_t unresolved_neighbor_updates = 0;
+};
+
 /// Unified router counters, aggregated on demand from the per-module
 /// stats (see forwarding_stats() et al. for the raw per-layer views).
 struct RouterStats {
@@ -142,11 +149,11 @@ class ExpressRouter : public net::Node {
     s.data_packets_forwarded = fwd.data_packets_forwarded;
     s.data_copies_sent = fwd.data_copies_sent;
     s.subcasts_relayed = fwd.subcasts_relayed;
-    s.unresolved_neighbor_updates = unresolved_neighbor_updates_.value();
+    s.unresolved_neighbor_updates = events_->unresolved_neighbor_updates;
     return s;
   }
-  // Per-module views are returned by value: each module assembles its
-  // POD from registry slots on demand.
+  // Per-module views are returned by value: a copy of the module's
+  // registry block.
   [[nodiscard]] ForwardingStats forwarding_stats() const {
     return forwarding_.stats();
   }
@@ -295,7 +302,7 @@ class ExpressRouter : public net::Node {
   ecmp::Transport transport_;
   /// Hysteresis timers for pending upstream switches (§3.2).
   std::unordered_map<ip::ChannelId, sim::EventHandle> pending_switches_;
-  obs::Counter unresolved_neighbor_updates_;
+  RouterEventStats* events_ = nullptr;  ///< registry block (express.router.*)
   TotalObserver total_observer_;
 };
 

@@ -6,12 +6,15 @@
 // the counters one home:
 //
 //   * Registry — named counters/gauges/histograms, each owned by an
-//     Entity (router/host/link/...). Modules register their slots once
-//     at construction and hold Counter/Histogram *handles* (pointers
-//     into registry-owned storage), so a fast-path increment is one
-//     indirect add. The legacy `XStats stats()` accessors survive as
-//     thin views assembled from the slots — call sites compile
-//     unchanged. snapshot_json() serializes the whole registry in a
+//     Entity (router/host/link/...). A module binds its `*Stats`
+//     struct once at construction: Registry::bind allocates a zeroed,
+//     address-stable block of that struct and points one entry per
+//     Field (name, member, kind) at its member. The module keeps a
+//     pointer to the block, so a fast-path increment is one indirect
+//     add, and `stats()` returns the block itself — the struct *is*
+//     the registry storage, there is no second copy. Blocks belong to
+//     the registry, so a snapshot stays valid after its module is
+//     gone. snapshot_json() serializes the whole registry in a
 //     canonical form (entries sorted by (name, entity), integers only,
 //     sim-time stamped) that is byte-identical across identically
 //     seeded runs.
@@ -28,7 +31,7 @@
 //     (A/B benches, multi-testbed tests) never share counters; modules
 //     constructed outside a Network resolve to a process-global Plane
 //     under a fresh anonymous entity. A Scope is the (plane, entity)
-//     pair a module binds once via resolved() and registers through.
+//     pair a module resolves once and binds its blocks through.
 //
 // Determinism contract: nothing in this module reads wall clocks,
 // addresses, or iteration order of unordered containers. The registry
@@ -41,9 +44,12 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -88,37 +94,27 @@ struct Entity {
 };
 
 // ---------------------------------------------------------------------------
-// Metric handles
+// Metrics
 // ---------------------------------------------------------------------------
 
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
-/// Handle to one uint64 registry slot. Values, not references: copying
-/// a Counter copies the slot pointer. A default-constructed handle
-/// targets a shared sink slot so unregistered modules stay safe (writes
-/// vanish); registered handles point into Registry-owned storage, which
-/// is address-stable for the registry's lifetime (deque-backed).
-class Counter {
- public:
-  Counter() = default;
-
-  void inc() const { ++*slot_; }
-  void add(std::uint64_t n) const { *slot_ += n; }
-  /// Gauge-style write (last value wins).
-  void set(std::uint64_t v) const { *slot_ = v; }
-  /// High-water-mark write.
-  void set_max(std::uint64_t v) const {
-    if (v > *slot_) *slot_ = v;
-  }
-  [[nodiscard]] std::uint64_t value() const { return *slot_; }
-
- private:
-  friend class Registry;
-  explicit Counter(std::uint64_t* slot) : slot_(slot) {}
-
-  static std::uint64_t sink_;
-  std::uint64_t* slot_ = &sink_;
+/// One registry-backed member of a `*Stats` struct: the metric name it
+/// serializes under, the member that stores it, and its kind (a gauge
+/// is written with `=` or `std::max`, a counter only ever grows).
+template <class S>
+struct Field {
+  std::string_view name;
+  std::uint64_t S::*member;
+  MetricKind kind = MetricKind::kCounter;
 };
+
+/// A `*Stats` struct whose field table names only some of its members
+/// (the owner fills the rest in live when it copies the block out).
+/// Every other struct must register each member: bind() checks it at
+/// compile time, so a field added to a struct cannot go unregistered.
+template <class S>
+inline constexpr bool kPartialStats = false;
 
 inline constexpr std::size_t kHistogramBuckets = 32;
 
@@ -156,10 +152,27 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Register (or re-register, which zeroes the slot — a fresh module
-  /// instance starts from zero) a metric and return its handle.
-  Counter counter(std::string_view name, Entity entity);
-  Counter gauge(std::string_view name, Entity entity);
+  /// Allocate a zeroed block of S owned by this registry and point the
+  /// (field.name, entity) entry of every field at its member. The block
+  /// stays at one address for the registry's lifetime, so a module may
+  /// keep the returned reference and bump its members directly, and a
+  /// snapshot stays valid after the module is destroyed. Re-binding a
+  /// (name, entity) re-points it at the new block: a fresh module
+  /// instance starts from zero.
+  template <class S, std::size_t N>
+  S& bind(Entity entity, const Field<S> (&fields)[N]) {
+    static_assert(std::is_trivially_copyable_v<S> &&
+                      alignof(S) == alignof(std::uint64_t),
+                  "a stats block is a plain struct of uint64 members");
+    static_assert(kPartialStats<S> || N * sizeof(std::uint64_t) == sizeof(S),
+                  "the field table must name every member of the struct");
+    S* block = ::new (allocate_block(sizeof(S))) S{};
+    for (const Field<S>& field : fields) {
+      bind_slot(field.name, entity, field.kind, &(block->*field.member));
+    }
+    return *block;
+  }
+  /// Register (or re-register, which zeroes it) a histogram.
   Histogram histogram(std::string_view name, Entity entity);
 
   /// Scalar value of (name, entity), or 0 when absent.
@@ -183,17 +196,23 @@ class Registry {
   };
   struct Entry {
     MetricKind kind = MetricKind::kCounter;
-    std::uint32_t index = 0;  ///< into slots_ or hists_ per kind
+    union {
+      std::uint64_t* slot = nullptr;  ///< a member of a bound block
+      HistogramData* hist;            ///< kind == kHistogram
+    };
   };
 
-  std::uint64_t* scalar_slot(std::string_view name, Entity entity,
-                             MetricKind kind);
+  /// Zeroed storage for one block, carved from the arena.
+  void* allocate_block(std::size_t bytes);
+  void bind_slot(std::string_view name, Entity entity, MetricKind kind,
+                 std::uint64_t* slot);
 
   std::map<Key, Entry> entries_;
-  /// Slot storage. Deques: growth never moves existing slots, so the
-  /// raw pointers inside handed-out Counter/Histogram handles stay
-  /// valid for the registry's lifetime.
-  std::deque<std::uint64_t> slots_;
+  /// Block storage: fixed-size zeroed chunks that are never moved or
+  /// freed before the registry, so every slot pointer stays valid.
+  std::vector<std::unique_ptr<std::byte[]>> arena_;
+  std::size_t arena_used_ = 0;  ///< bytes taken from arena_.back()
+  /// Deque: growth never moves existing histograms.
   std::deque<HistogramData> hists_;
 };
 
@@ -315,7 +334,7 @@ struct Plane {
 /// The (plane, entity) pair a module observes through. Default (null
 /// plane) means "unbound": resolved() binds it to the global plane
 /// under a fresh anonymous entity. Modules should store the *resolved*
-/// scope once and register every metric through it, so all their slots
+/// scope once and bind every block through it, so all their slots
 /// share one entity.
 struct Scope {
   Plane* plane = nullptr;
@@ -329,13 +348,10 @@ struct Scope {
     return s;
   }
 
-  [[nodiscard]] Counter counter(std::string_view name) const {
+  template <class S, std::size_t N>
+  [[nodiscard]] S& bind(const Field<S> (&fields)[N]) const {
     Scope s = resolved();
-    return s.plane->registry.counter(name, s.entity);
-  }
-  [[nodiscard]] Counter gauge(std::string_view name) const {
-    Scope s = resolved();
-    return s.plane->registry.gauge(name, s.entity);
+    return s.plane->registry.bind(s.entity, fields);
   }
   [[nodiscard]] Histogram histogram(std::string_view name) const {
     Scope s = resolved();

@@ -10,11 +10,14 @@ constexpr std::size_t kArity = 4;  // 4-ary heap: shallower, cache-friendlier
 }  // namespace
 
 Scheduler::Scheduler(obs::Scope scope) : scope_(scope.resolved()) {
-  scheduled_ = scope_.counter("sim.sched.scheduled");
-  executed_ = scope_.counter("sim.sched.executed");
-  cancelled_ = scope_.counter("sim.sched.cancelled");
-  clamped_ = scope_.counter("sim.sched.clamped_past");
-  peak_pending_ = scope_.gauge("sim.sched.peak_pending");
+  stats_ = &scope_.bind<SchedulerStats>({
+      {"sim.sched.scheduled", &SchedulerStats::scheduled},
+      {"sim.sched.executed", &SchedulerStats::executed},
+      {"sim.sched.cancelled", &SchedulerStats::cancelled},
+      {"sim.sched.clamped_past", &SchedulerStats::clamped_past_events},
+      {"sim.sched.peak_pending", &SchedulerStats::peak_pending,
+       obs::MetricKind::kGauge},
+  });
 }
 
 std::uint32_t Scheduler::acquire_slot() {
@@ -75,7 +78,7 @@ bool Scheduler::refresh_front() {
 EventHandle Scheduler::schedule_at(Time when, Action action) {
   if (when < now_) {
     when = now_;
-    clamped_.inc();
+    ++stats_->clamped_past_events;
   }
   const std::uint32_t slot = acquire_slot();
   EventRecord& rec = slab_[slot];
@@ -84,8 +87,9 @@ EventHandle Scheduler::schedule_at(Time when, Action action) {
   rec.live = true;
   rec.action = std::move(action);
   heap_push(HeapEntry{when, rec.seq, slot});
-  scheduled_.inc();
-  peak_pending_.set_max(heap_.size());
+  ++stats_->scheduled;
+  stats_->peak_pending =
+      std::max<std::uint64_t>(stats_->peak_pending, heap_.size());
   return EventHandle{this, slot, rec.generation};
 }
 
@@ -121,7 +125,7 @@ std::uint64_t Scheduler::run_until(Time deadline) {
     action();
     firing_slot_ = prev_slot;
     firing_generation_ = prev_generation;
-    executed_.inc();
+    ++stats_->executed;
     ++ran;
   }
   if (deadline != kNever && now_ < deadline) now_ = deadline;

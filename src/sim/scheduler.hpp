@@ -37,7 +37,10 @@ namespace express::sim {
 
 class Scheduler;
 
-/// Counters exposed for tests, benches, and operators.
+/// Counters exposed for tests, benches, and operators. The monotone
+/// counters and peak_pending live in the observability registry;
+/// pending, slab_slots and free_slots are queue occupancy, filled in
+/// live by Scheduler::stats().
 struct SchedulerStats {
   std::uint64_t scheduled = 0;   ///< total schedule_at/after calls
   std::uint64_t executed = 0;    ///< events fired (cancelled excluded)
@@ -51,6 +54,16 @@ struct SchedulerStats {
   std::uint64_t slab_slots = 0;    ///< event records ever allocated
   std::uint64_t free_slots = 0;    ///< records currently recycled/idle
 };
+
+}  // namespace express::sim
+
+namespace express::obs {
+/// The three occupancy fields are not registry metrics.
+template <>
+inline constexpr bool kPartialStats<sim::SchedulerStats> = true;
+}  // namespace express::obs
+
+namespace express::sim {
 
 /// Handle to a scheduled event; allows O(1) logical cancellation.
 /// Cancellation is lazy: the event stays queued but is skipped when its
@@ -109,25 +122,20 @@ class Scheduler {
 
   /// Total events executed since construction (cancelled events excluded).
   [[nodiscard]] std::uint64_t executed_events() const {
-    return executed_.value();
+    return stats_->executed;
   }
 
   /// Events scheduled in the past and clamped to now() (see
   /// SchedulerStats::clamped_past_events).
   [[nodiscard]] std::uint64_t clamped_past_events() const {
-    return clamped_.value();
+    return stats_->clamped_past_events;
   }
 
-  /// Thin view over the registry slots (monotone counters) plus the
-  /// instantaneous queue/slab occupancy, which is read live.
+  /// The registry block (monotone counters, peak_pending) with the
+  /// instantaneous queue/slab occupancy overlaid.
   [[nodiscard]] SchedulerStats stats() const {
-    SchedulerStats s;
-    s.scheduled = scheduled_.value();
-    s.executed = executed_.value();
-    s.cancelled = cancelled_.value();
-    s.clamped_past_events = clamped_.value();
+    SchedulerStats s = *stats_;
     s.pending = heap_.size();
-    s.peak_pending = peak_pending_.value();
     s.slab_slots = slab_.size();
     s.free_slots = free_.size();
     return s;
@@ -203,7 +211,7 @@ class Scheduler {
     rec.live = false;
     ++rec.generation;      // invalidate outstanding handles
     rec.action.reset();    // release captured resources immediately
-    cancelled_.inc();
+    ++stats_->cancelled;
     // The slot itself is reclaimed when its heap entry surfaces.
   }
 
@@ -235,15 +243,10 @@ class Scheduler {
   /// from inside an action keeps the guard of its caller.
   std::uint32_t firing_slot_ = kNilSlot;
   std::uint32_t firing_generation_ = 0;
-  /// Monotone counters live in the observability registry; the handles
-  /// below are one-pointer-indirect slots registered contiguously at
-  /// construction (see DESIGN.md §11).
+  /// Monotone counters live in the observability registry, in a block
+  /// bound at construction (see DESIGN.md §11).
   obs::Scope scope_;
-  obs::Counter scheduled_;
-  obs::Counter executed_;
-  obs::Counter cancelled_;
-  obs::Counter clamped_;
-  obs::Counter peak_pending_;
+  SchedulerStats* stats_ = nullptr;
 };
 
 inline void EventHandle::cancel() {

@@ -4,21 +4,25 @@
 
 namespace fixture {
 
+struct PlaneStats {
+  std::uint64_t no_entry_drops = 0;
+};
+
 class Plane {
  public:
   void on_bad_packet() {
     // VIOLATION (drop-untraced): metric moves, replay sees nothing.
-    drops_.inc();
+    ++stats_->no_entry_drops;
   }
 
   void on_bad_packet_traced(long now) {
-    drops_.inc();
+    stats_->no_entry_drops += 1;
     scope_.emit(now, obs::TraceType::kPacketDropped, 0, 0);
   }
 
  private:
-  obs::Counter drops_;
   obs::Scope scope_;
+  PlaneStats* stats_ = nullptr;
 };
 
 }  // namespace fixture

@@ -1,16 +1,24 @@
 // archlint fixture: the clean counterparts of handle_leak.cpp,
 // drop_untraced.cpp and late_registration.cpp in one file — a stored
-// handle cancelled by the destructor, a justified fire-and-forget, and
-// constructor-path slot registration. Must produce zero findings.
+// handle cancelled by the destructor, a justified fire-and-forget,
+// constructor-path block binding, and a traced drop bump. Must produce
+// zero findings.
 #include "obs/obs.hpp"
 #include "sim/scheduler.hpp"
 
 namespace fixture {
 
+struct TidyStats {
+  std::uint64_t packets = 0;
+  std::uint64_t dropped = 0;
+};
+
 class Tidy {
  public:
   explicit Tidy(obs::Scope scope) : scope_(scope) {
-    packets_ = scope_.counter("fixture.packets");
+    stats_ = &scope_.bind<TidyStats>(
+        {{"fixture.packets", &TidyStats::packets},
+         {"fixture.dropped", &TidyStats::dropped}});
   }
   ~Tidy() { timer_.cancel(); }
 
@@ -20,9 +28,14 @@ class Tidy {
     scheduler_->schedule_after(sim::seconds(2), [] {});
   }
 
+  void drop(sim::Time now) {
+    ++stats_->dropped;
+    scope_.emit(now, obs::TraceType::kPacketDropped, 0, 0);
+  }
+
  private:
   obs::Scope scope_;
-  obs::Counter packets_;
+  TidyStats* stats_ = nullptr;
   sim::Scheduler* scheduler_ = nullptr;
   sim::EventHandle timer_;
 };

@@ -1,19 +1,29 @@
 // The observability plane (DESIGN.md §11): metrics registry semantics,
-// the trace ring, and the two guarantees the refactor rests on —
-//   1. every legacy *Stats accessor is a thin view over registry
-//      slots (RouterStats aggregation == per-entity registry values
-//      after a seeded churn run), and
+// the trace ring, and the two guarantees the design rests on —
+//   1. every `*Stats` accessor returns its module's registry block:
+//      each field equals registry.value(name, entity) after seeded
+//      EXPRESS, relay and baseline runs, and RouterStats aggregates
+//      those blocks, and
 //   2. identically-seeded runs serialize byte-identical metrics
 //      snapshots and trace JSONL, while different seeds diverge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "audit/invariants.hpp"
-#include "testbed/testbed.hpp"
+#include "baseline/cbt.hpp"
+#include "baseline/dvmrp.hpp"
+#include "baseline/group_host.hpp"
+#include "baseline/pim_sm.hpp"
 #include "obs/obs.hpp"
+#include "relay/participant.hpp"
+#include "relay/session_relay.hpp"
+#include "testbed/testbed.hpp"
 #include "workload/chaos.hpp"
 #include "workload/churn.hpp"
 #include "workload/topo_gen.hpp"
@@ -25,46 +35,78 @@ namespace {
 // Registry units
 // ---------------------------------------------------------------------
 
+/// A registry-only stats block for the unit tests below.
+struct TestStats {
+  std::uint64_t hits = 0;
+  std::uint64_t peak = 0;  ///< gauge
+};
+
+TestStats& bind_test_stats(obs::Registry& reg, obs::Entity entity) {
+  return reg.bind<TestStats>(
+      entity, {{"test.hits", &TestStats::hits},
+               {"test.peak", &TestStats::peak, obs::MetricKind::kGauge}});
+}
+
 TEST(ObsRegistry, CounterRoundTrip) {
   obs::Registry reg;
-  obs::Counter c = reg.counter("test.hits", obs::Entity::router(3));
-  c.inc();
-  c.add(4);
-  EXPECT_EQ(c.value(), 5u);
+  TestStats& s = bind_test_stats(reg, obs::Entity::router(3));
+  ++s.hits;
+  s.hits += 4;
+  EXPECT_EQ(s.hits, 5u);
   EXPECT_EQ(reg.value("test.hits", obs::Entity::router(3)), 5u);
+  EXPECT_EQ(reg.sum("test.hits"), 5u);
   EXPECT_EQ(reg.value("test.hits", obs::Entity::router(4)), 0u);
   EXPECT_EQ(reg.value("test.absent", obs::Entity::router(3)), 0u);
+  EXPECT_EQ(reg.size(), 2u);  // one entry per field
 }
 
 TEST(ObsRegistry, SumAggregatesOverEntities) {
   obs::Registry reg;
-  reg.counter("test.hits", obs::Entity::router(1)).add(10);
-  reg.counter("test.hits", obs::Entity::router(2)).add(32);
-  reg.counter("test.hits", obs::Entity::host(1)).add(100);
-  reg.counter("test.other", obs::Entity::router(1)).add(7);
-  EXPECT_EQ(reg.sum("test.hits"), 142u);
-  EXPECT_EQ(reg.sum("test.other"), 7u);
+  bind_test_stats(reg, obs::Entity::router(1)).hits += 10;
+  bind_test_stats(reg, obs::Entity::router(2)).hits += 32;
+  bind_test_stats(reg, obs::Entity::host(1)).hits += 100;
+  bind_test_stats(reg, obs::Entity::router(1)).peak = 7;
+  // Re-binding router:1 re-pointed both its entries at a fresh block.
+  EXPECT_EQ(reg.sum("test.hits"), 132u);
+  EXPECT_EQ(reg.sum("test.peak"), 7u);
   EXPECT_EQ(reg.sum("test.absent"), 0u);
 }
 
 TEST(ObsRegistry, ReRegistrationZeroesTheSlot) {
-  // A fresh module instance re-registering its metrics starts from
-  // zero — stale values must not leak across e.g. testbed rebuilds.
+  // A fresh module instance re-binding its block starts from zero —
+  // stale values must not leak across e.g. testbed rebuilds — while the
+  // old block stays valid (the registry owns it) but is no longer read.
   obs::Registry reg;
-  reg.counter("test.hits", obs::Entity::router(1)).add(9);
-  obs::Counter again = reg.counter("test.hits", obs::Entity::router(1));
-  EXPECT_EQ(again.value(), 0u);
-  EXPECT_EQ(reg.size(), 1u);
+  TestStats& first = bind_test_stats(reg, obs::Entity::router(1));
+  first.hits += 9;
+  TestStats& again = bind_test_stats(reg, obs::Entity::router(1));
+  EXPECT_NE(&first, &again);
+  EXPECT_EQ(again.hits, 0u);
+  EXPECT_EQ(reg.value("test.hits", obs::Entity::router(1)), 0u);
+  ++again.hits;
+  ++first.hits;
+  EXPECT_EQ(reg.value("test.hits", obs::Entity::router(1)), 1u);
+  EXPECT_EQ(first.hits, 10u);
+  EXPECT_EQ(reg.size(), 2u);
 }
 
 TEST(ObsRegistry, GaugeSetMaxIsAHighWaterMark) {
   obs::Registry reg;
-  obs::Counter g = reg.gauge("test.peak", obs::Entity::network());
-  g.set_max(5);
-  g.set_max(3);
-  EXPECT_EQ(g.value(), 5u);
-  g.set(2);
-  EXPECT_EQ(g.value(), 2u);
+  TestStats& s = bind_test_stats(reg, obs::Entity::network());
+  for (std::uint64_t v : {5u, 3u}) s.peak = std::max(s.peak, v);
+  EXPECT_EQ(reg.value("test.peak", obs::Entity::network()), 5u);
+  s.peak = 2;
+  EXPECT_EQ(reg.value("test.peak", obs::Entity::network()), 2u);
+  // The field's kind survives into the snapshot.
+  const std::string json = reg.snapshot_json(sim::Time{});
+  EXPECT_NE(json.find("{\"entity\":\"net\",\"kind\":\"gauge\","
+                      "\"name\":\"test.peak\",\"value\":2}"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("{\"entity\":\"net\",\"kind\":\"counter\","
+                      "\"name\":\"test.hits\",\"value\":0}"),
+            std::string::npos)
+      << json;
 }
 
 TEST(ObsRegistry, HistogramBucketsByBitWidth) {
@@ -84,13 +126,43 @@ TEST(ObsRegistry, HistogramBucketsByBitWidth) {
   EXPECT_EQ(d.buckets[3], 1u);
 }
 
-TEST(ObsRegistry, UnboundHandlesWriteToTheSink) {
-  // Default-constructed handles must be safe no-ops: modules may be
-  // built before (or without) a scope, e.g. in unit tests.
-  obs::Counter c;
-  c.inc();
-  c.add(10);
-  EXPECT_EQ(c.value(), 11u);  // sink accumulates, registry unaffected
+TEST(ObsRegistry, UnboundModuleStillCounts) {
+  // A module built without a scope (unit tests, micro-benches) binds to
+  // the global plane under a fresh anonymous entity and counts there.
+  FlatFib fib;
+  const ip::ChannelId channel{ip::Address(10, 0, 0, 1),
+                              ip::Address(232, 0, 0, 1)};
+  fib.upsert(channel).iif = 1;
+  EXPECT_NE(fib.lookup(channel, 1), nullptr);
+  EXPECT_EQ(fib.lookup(channel, 2), nullptr);
+  const FibStats s = fib.stats();
+  EXPECT_EQ(s.lookups, 2u);
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.rpf_drops, 1u);
+  EXPECT_EQ(s.entries, 1u);
+}
+
+TEST(ObsRegistry, BlockOutlivesItsModuleOnTheGlobalPlane) {
+  // Standalone modules share the process-global plane, which outlives
+  // them: the registry, not the module, owns the block, so a snapshot
+  // taken after the module is destroyed reads valid memory (ASan
+  // builds check this) and still reports the final counts.
+  const obs::Scope scope = obs::Scope{}.resolved();
+  {
+    FlatFib fib(scope);
+    const ip::ChannelId channel{ip::Address(10, 0, 0, 2),
+                                ip::Address(232, 0, 0, 2)};
+    fib.upsert(channel).iif = 0;
+    for (int i = 0; i < 3; ++i) (void)fib.lookup(channel, 0);
+  }
+  const obs::Registry& reg = obs::Plane::global().registry;
+  EXPECT_EQ(reg.value("express.fib.lookups", scope.entity), 3u);
+  EXPECT_EQ(reg.value("express.fib.entries", scope.entity), 1u);
+  const std::string json = reg.snapshot_json(sim::Time{});
+  EXPECT_NE(json.find("{\"entity\":\"" + scope.entity.to_string() +
+                      "\",\"kind\":\"counter\",\"name\":"
+                      "\"express.fib.lookups\",\"value\":3}"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -184,7 +256,7 @@ TEST(ObsTrace, JsonlIsCanonical) {
 }
 
 // ---------------------------------------------------------------------
-// Views-over-registry regression (satellite: RouterStats aggregation)
+// Views equal the registry (RouterStats aggregation, every block)
 // ---------------------------------------------------------------------
 
 void run_churn(Testbed& bed, std::uint64_t seed) {
@@ -251,6 +323,300 @@ TEST(ObsViews, RouterStatsEqualsRegistrySlotsAfterSeededChurn) {
     fwd += bed.router(i).stats().data_packets_forwarded;
   }
   EXPECT_EQ(fwd, reg.sum("express.fwd.data_packets_forwarded"));
+}
+
+// Independent name tables for every `*Stats` view: kept apart from the
+// modules' own bind() tables, so a field bound under the wrong name (or
+// not bound at all) shows up as a mismatch here.
+template <class S>
+using ViewTable = std::vector<obs::Field<S>>;
+
+const ViewTable<HostStats> kHostTable = {
+    {"express.host.data_received", &HostStats::data_received},
+    {"express.host.data_sent", &HostStats::data_sent},
+    {"express.host.unwanted_data", &HostStats::unwanted_data},
+    {"express.host.counts_sent", &HostStats::counts_sent},
+    {"express.host.queries_answered", &HostStats::queries_answered},
+    {"express.host.control_bytes_sent", &HostStats::control_bytes_sent},
+};
+const ViewTable<net::NetworkStats> kNetworkTable = {
+    {"net.packets_sent", &net::NetworkStats::packets_sent},
+    {"net.bytes_sent", &net::NetworkStats::bytes_sent},
+    {"net.drop.link_down", &net::NetworkStats::packets_dropped_link_down},
+    {"net.drop.no_route", &net::NetworkStats::packets_dropped_no_route},
+    {"net.drop.ttl", &net::NetworkStats::packets_dropped_ttl},
+    {"net.drop.loss", &net::NetworkStats::packets_dropped_loss},
+    {"net.reordered", &net::NetworkStats::packets_reordered},
+};
+const ViewTable<net::LinkStats> kLinkTable = {
+    {"net.link.packets", &net::LinkStats::packets},
+    {"net.link.bytes", &net::LinkStats::bytes},
+};
+/// The registry part only: pending, slab_slots and free_slots are live.
+const ViewTable<sim::SchedulerStats> kSchedulerTable = {
+    {"sim.sched.scheduled", &sim::SchedulerStats::scheduled},
+    {"sim.sched.executed", &sim::SchedulerStats::executed},
+    {"sim.sched.cancelled", &sim::SchedulerStats::cancelled},
+    {"sim.sched.clamped_past", &sim::SchedulerStats::clamped_past_events},
+    {"sim.sched.peak_pending", &sim::SchedulerStats::peak_pending},
+};
+const ViewTable<FibStats> kFibTable = {
+    {"express.fib.lookups", &FibStats::lookups},
+    {"express.fib.hits", &FibStats::hits},
+    {"express.fib.no_entry_drops", &FibStats::no_entry_drops},
+    {"express.fib.rpf_drops", &FibStats::rpf_drops},
+    {"express.fib.entries", &FibStats::entries},
+};
+const ViewTable<ForwardingStats> kForwardingTable = {
+    {"express.fwd.data_packets_forwarded",
+     &ForwardingStats::data_packets_forwarded},
+    {"express.fwd.data_copies_sent", &ForwardingStats::data_copies_sent},
+    {"express.fwd.subcasts_relayed", &ForwardingStats::subcasts_relayed},
+};
+const ViewTable<SubscriptionStats> kSubscriptionTable = {
+    {"express.sub.subscribe_events", &SubscriptionStats::subscribe_events},
+    {"express.sub.unsubscribe_events", &SubscriptionStats::unsubscribe_events},
+    {"express.sub.joins_sent", &SubscriptionStats::joins_sent},
+    {"express.sub.prunes_sent", &SubscriptionStats::prunes_sent},
+    {"express.sub.auth_rejects", &SubscriptionStats::auth_rejects},
+    {"express.sub.key_registrations", &SubscriptionStats::key_registrations},
+};
+const ViewTable<CountingStats> kCountingTable = {
+    {"express.counting.rounds_started", &CountingStats::rounds_started},
+    {"express.counting.rounds_completed", &CountingStats::rounds_completed},
+    {"express.counting.rounds_timed_out", &CountingStats::rounds_timed_out},
+    {"express.counting.proactive_updates_sent",
+     &CountingStats::proactive_updates_sent},
+};
+const ViewTable<ecmp::TransportStats> kTransportTable = {
+    {"ecmp.transport.counts_sent", &ecmp::TransportStats::counts_sent},
+    {"ecmp.transport.counts_received", &ecmp::TransportStats::counts_received},
+    {"ecmp.transport.queries_sent", &ecmp::TransportStats::queries_sent},
+    {"ecmp.transport.queries_received",
+     &ecmp::TransportStats::queries_received},
+    {"ecmp.transport.responses_sent", &ecmp::TransportStats::responses_sent},
+    {"ecmp.transport.responses_received",
+     &ecmp::TransportStats::responses_received},
+    {"ecmp.transport.control_bytes_sent",
+     &ecmp::TransportStats::control_bytes_sent},
+    {"ecmp.transport.control_bytes_received",
+     &ecmp::TransportStats::control_bytes_received},
+};
+const ViewTable<relay::RelayStats> kRelayTable = {
+    {"relay.frames_relayed", &relay::RelayStats::frames_relayed},
+    {"relay.dropped_unauthorized", &relay::RelayStats::dropped_unauthorized},
+    {"relay.dropped_no_floor", &relay::RelayStats::dropped_no_floor},
+    {"relay.floor_grants", &relay::RelayStats::floor_grants},
+    {"relay.floor_denials", &relay::RelayStats::floor_denials},
+    {"relay.heartbeats_sent", &relay::RelayStats::heartbeats_sent},
+    {"relay.channels_announced", &relay::RelayStats::channels_announced},
+};
+const ViewTable<baseline::PimStats> kPimTable = {
+    {"baseline.pim.joins_star_g", &baseline::PimStats::joins_star_g},
+    {"baseline.pim.joins_sg", &baseline::PimStats::joins_sg},
+    {"baseline.pim.prunes", &baseline::PimStats::prunes},
+    {"baseline.pim.registers_sent", &baseline::PimStats::registers_sent},
+    {"baseline.pim.registers_decapsulated",
+     &baseline::PimStats::registers_decapsulated},
+    {"baseline.pim.register_stops", &baseline::PimStats::register_stops},
+    {"baseline.pim.data_copies_sent", &baseline::PimStats::data_copies_sent},
+    {"baseline.pim.drops", &baseline::PimStats::drops},
+};
+const ViewTable<baseline::DvmrpStats> kDvmrpTable = {
+    {"baseline.dvmrp.data_packets_forwarded",
+     &baseline::DvmrpStats::data_packets_forwarded},
+    {"baseline.dvmrp.data_copies_sent",
+     &baseline::DvmrpStats::data_copies_sent},
+    {"baseline.dvmrp.flood_copies", &baseline::DvmrpStats::flood_copies},
+    {"baseline.dvmrp.rpf_drops", &baseline::DvmrpStats::rpf_drops},
+    {"baseline.dvmrp.prunes_sent", &baseline::DvmrpStats::prunes_sent},
+    {"baseline.dvmrp.prunes_received", &baseline::DvmrpStats::prunes_received},
+    {"baseline.dvmrp.grafts_sent", &baseline::DvmrpStats::grafts_sent},
+    {"baseline.dvmrp.grafts_received", &baseline::DvmrpStats::grafts_received},
+};
+const ViewTable<baseline::CbtStats> kCbtTable = {
+    {"baseline.cbt.joins_sent", &baseline::CbtStats::joins_sent},
+    {"baseline.cbt.prunes_sent", &baseline::CbtStats::prunes_sent},
+    {"baseline.cbt.data_copies_sent", &baseline::CbtStats::data_copies_sent},
+    {"baseline.cbt.encapsulated_to_core",
+     &baseline::CbtStats::encapsulated_to_core},
+    {"baseline.cbt.decapsulated_at_core",
+     &baseline::CbtStats::decapsulated_at_core},
+    {"baseline.cbt.drops", &baseline::CbtStats::drops},
+};
+const ViewTable<baseline::GroupHostStats> kGroupHostTable = {
+    {"baseline.group_host.data_received",
+     &baseline::GroupHostStats::data_received},
+    {"baseline.group_host.data_filtered",
+     &baseline::GroupHostStats::data_filtered},
+    {"baseline.group_host.unwanted_data",
+     &baseline::GroupHostStats::unwanted_data},
+    {"baseline.group_host.bytes_on_last_hop",
+     &baseline::GroupHostStats::bytes_on_last_hop},
+    {"baseline.group_host.data_sent", &baseline::GroupHostStats::data_sent},
+};
+
+/// Compares every field of `view` with its registry slot at `entity`
+/// and adds the field values to `total` (so a scenario can show it
+/// moved the view at all). The table must cover every member.
+template <class S>
+void expect_view(const obs::Registry& reg, obs::Entity entity, const S& view,
+                 const ViewTable<S>& table, std::uint64_t& total) {
+  if (!std::is_same_v<S, sim::SchedulerStats>) {
+    EXPECT_EQ(table.size() * sizeof(std::uint64_t), sizeof(S));
+  }
+  for (const obs::Field<S>& field : table) {
+    EXPECT_EQ(view.*field.member, reg.value(field.name, entity))
+        << field.name << " at " << entity.to_string();
+    total += view.*field.member;
+  }
+}
+
+/// Network-level views shared by every scenario: the fabric, each
+/// link, and the scheduler.
+void expect_network_views(net::Network& net, std::uint64_t& total) {
+  const obs::Registry& reg = net.obs().registry;
+  expect_view(reg, obs::Entity::network(), net.stats(), kNetworkTable, total);
+  for (net::LinkId l = 0; l < net.topology().link_count(); ++l) {
+    expect_view(reg, obs::Entity::link(l), net.link_stats(l), kLinkTable,
+                total);
+  }
+  expect_view(reg, obs::Entity::network(), net.scheduler().stats(),
+              kSchedulerTable, total);
+}
+
+/// A small group-model scenario for baseline router type R: two
+/// receivers join, the source sends three packets.
+template <class R, class Config, class S>
+std::uint64_t run_baseline_views(Config config, ip::Protocol protocol,
+                                 const ViewTable<S>& table,
+                                 std::uint64_t& host_total) {
+  auto topo = workload::make_kary_tree(2, 2);
+  if constexpr (std::is_same_v<Config, baseline::PimConfig>) {
+    config.rp = topo.topology.node(topo.routers[2]).address;
+  } else if constexpr (std::is_same_v<Config, baseline::CbtConfig>) {
+    config.core = topo.topology.node(topo.routers[1]).address;
+  }
+  net::Network net(std::move(topo.topology));
+  std::vector<R*> routers;
+  for (net::NodeId r : topo.routers) {
+    routers.push_back(&net.attach<R>(r, config));
+  }
+  auto& source = net.attach<baseline::GroupHost>(topo.source_host);
+  std::vector<baseline::GroupHost*> hosts{&source};
+  for (net::NodeId h : topo.receiver_hosts) {
+    hosts.push_back(&net.attach<baseline::GroupHost>(h));
+  }
+  const ip::Address group(225, 1, 2, 3);
+  hosts[1]->join_group(group, protocol);
+  hosts[4]->join_group(group, protocol);
+  net.run_until(net.now() + sim::seconds(1));
+  for (std::uint64_t seq = 0; seq < 3; ++seq) {
+    source.send_to_group(group, 100, seq);
+    net.run_until(net.now() + sim::milliseconds(300));
+  }
+  hosts[4]->leave_group(group, protocol);
+  net.run_until(net.now() + sim::seconds(1));
+
+  const obs::Registry& reg = net.obs().registry;
+  std::uint64_t total = 0;
+  for (R* r : routers) {
+    expect_view(reg, obs::Entity::router(r->id()), r->stats(), table, total);
+  }
+  for (baseline::GroupHost* h : hosts) {
+    expect_view(reg, obs::Entity::host(h->id()), h->stats(), kGroupHostTable,
+                host_total);
+  }
+  std::uint64_t net_total = 0;
+  expect_network_views(net, net_total);
+  EXPECT_GT(net_total, 0u);
+  return total;
+}
+
+TEST(ObsViews, EveryStatsViewEqualsItsRegistrySlots) {
+  // EXPRESS: the seeded churn of the RouterStats test plus a count.
+  {
+    Testbed bed(workload::make_kary_tree(2, 3, {}, 2));
+    run_churn(bed, 7);
+    const ip::ChannelId channel = bed.source().allocate_channel();
+    bed.receiver(0).new_subscription(channel);
+    bed.run_for(sim::seconds(1));
+    bool counted = false;
+    bed.source().count_query(channel, ecmp::kSubscriberId, sim::seconds(2),
+                             [&counted](CountResult) { counted = true; });
+    bed.run_for(sim::seconds(3));
+    ASSERT_TRUE(counted);
+
+    const obs::Registry& reg = bed.net().obs().registry;
+    std::uint64_t fib = 0, fwd = 0, sub = 0, counting = 0, wire = 0,
+                  host = 0, net_total = 0;
+    for (std::size_t i = 0; i < bed.router_count(); ++i) {
+      const ExpressRouter& r = bed.router(i);
+      const obs::Entity e = obs::Entity::router(r.id());
+      expect_view(reg, e, r.fib().stats(), kFibTable, fib);
+      EXPECT_EQ(r.fib().stats().entries, r.fib().size());
+      expect_view(reg, e, r.forwarding_stats(), kForwardingTable, fwd);
+      expect_view(reg, e, r.subscription_stats(), kSubscriptionTable, sub);
+      expect_view(reg, e, r.counting_stats(), kCountingTable, counting);
+      expect_view(reg, e, r.transport_stats(), kTransportTable, wire);
+    }
+    expect_view(reg, obs::Entity::host(bed.source().id()),
+                bed.source().stats(), kHostTable, host);
+    for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
+      expect_view(reg, obs::Entity::host(bed.receiver(i).id()),
+                  bed.receiver(i).stats(), kHostTable, host);
+    }
+    expect_network_views(bed.net(), net_total);
+    for (std::uint64_t t : {fib, fwd, sub, counting, wire, host, net_total}) {
+      EXPECT_GT(t, 0u);
+    }
+  }
+
+  // Session relay on a star: one authorized and one unauthorized speaker.
+  {
+    Testbed bed(workload::make_star(4, 1));
+    relay::SessionRelay sr(bed.source(), relay::RelayConfig{});
+    std::vector<std::unique_ptr<relay::Participant>> participants;
+    for (std::size_t i = 0; i < 3; ++i) {
+      participants.push_back(std::make_unique<relay::Participant>(
+          bed.receiver(i), sr.channel(), bed.source().address()));
+      participants.back()->join();
+    }
+    bed.run_for(sim::seconds(1));
+    sr.start();
+    sr.authorize(bed.receiver(0).address());
+    participants[0]->speak(500);
+    participants[1]->speak(500);
+    bed.run_for(sim::seconds(1));
+    std::uint64_t relayed = 0, host = 0, net_total = 0;
+    expect_view(bed.net().obs().registry, obs::Entity::relay(bed.source().id()),
+                sr.stats(), kRelayTable, relayed);
+    EXPECT_EQ(sr.stats().frames_relayed, 1u);
+    EXPECT_EQ(sr.stats().dropped_unauthorized, 1u);
+    for (std::size_t i = 0; i < bed.receiver_count(); ++i) {
+      expect_view(bed.net().obs().registry,
+                  obs::Entity::host(bed.receiver(i).id()),
+                  bed.receiver(i).stats(), kHostTable, host);
+    }
+    expect_network_views(bed.net(), net_total);
+    EXPECT_GT(host, 0u);
+  }
+
+  // The group-model baselines.
+  std::uint64_t group_hosts = 0;
+  EXPECT_GT((run_baseline_views<baseline::PimSmRouter>(
+                baseline::PimConfig{}, ip::Protocol::kPim, kPimTable,
+                group_hosts)),
+            0u);
+  EXPECT_GT((run_baseline_views<baseline::DvmrpRouter>(
+                baseline::DvmrpConfig{}, ip::Protocol::kIgmp, kDvmrpTable,
+                group_hosts)),
+            0u);
+  EXPECT_GT((run_baseline_views<baseline::CbtRouter>(
+                baseline::CbtConfig{}, ip::Protocol::kCbt, kCbtTable,
+                group_hosts)),
+            0u);
+  EXPECT_GT(group_hosts, 0u);
 }
 
 // ---------------------------------------------------------------------
